@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test vet bench bench-check perf-check scaling networks placements serve loadtest docker profile alloc-check trace-smoke
+.PHONY: all test vet bench bench-check perf-check scaling networks placements serve loadtest docker profile alloc-check trace-smoke perfbench-check
 
 all: test
 
@@ -77,6 +77,12 @@ trace-smoke:
 	$(GO) run ./cmd/dsmtrace -replay /tmp/dsm-trace-smoke.jsonl
 	$(GO) run ./cmd/dsmtrace -replay -network ideal /tmp/dsm-trace-smoke.jsonl
 	$(GO) run ./cmd/dsmtrace /tmp/dsm-trace-smoke.jsonl | head -20
+
+# perfbench-check vets and tests the host-time benchmark. perfbench is
+# its own module, so neither `go build ./...` nor `go test ./...`
+# compiles it against the harness and service APIs it imports.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # networks prints the interconnect sensitivity sweep.
 networks:

@@ -99,8 +99,6 @@ func main() {
 		"scaling sweep: jacobi/large wall-clock curves at 8–1024 procs, dense/central vs sparse/tree, per protocol × network")
 	checkScaling := flag.String("check-scaling", "",
 		"validate the committed scaling FILE's ≥5× claim and re-run its best 256-proc cell; exit non-zero if the sparse win is gone")
-	derivedScaling := flag.Bool("derived-scaling", false,
-		"with -scaling: derive network-axis cells by trace replay instead of engine runs (derived points' wall clocks measure the replay, not the engine)")
 	protocol := flag.String("protocol", tmk.DefaultProtocol,
 		"coherence protocol for tables/figures: "+strings.Join(tmk.ProtocolNames(), " or "))
 	network := flag.String("network", netmodel.Default,
@@ -206,23 +204,43 @@ func main() {
 			}
 		}
 	}
-	if *figure == 1 || *all {
-		if text {
-			fmt.Println("=== Figure 1: execution time, messages, data (normalized to 4 KB) ===")
-		}
-		doc.Figure1 = runFigure(harness.Figure1(), configLabels(), *protocol, *network, *placement, text, harness.RenderFigure)
+	figures := []struct {
+		n      int
+		title  string
+		es     []harness.Experiment
+		labels []string
+		render func(io.Writer, harness.Experiment, map[string]harness.Cell)
+		doc    *[]harness.ExperimentJSON
+	}{
+		{1, "Figure 1: execution time, messages, data (normalized to 4 KB)",
+			harness.Figure1(), configLabels(), harness.RenderFigure, &doc.Figure1},
+		{2, "Figure 2: size-sensitive applications (normalized to 4 KB)",
+			harness.Figure2(), configLabels(), harness.RenderFigure, &doc.Figure2},
+		{3, "Figure 3: false-sharing signatures (4 KB vs 16 KB)",
+			harness.Figure3(), []string{"4K", "16K"}, harness.RenderSignature, &doc.Figure3},
 	}
-	if *figure == 2 || *all {
-		if text {
-			fmt.Println("=== Figure 2: size-sensitive applications (normalized to 4 KB) ===")
+	for _, f := range figures {
+		if *figure != f.n && !*all {
+			continue
 		}
-		doc.Figure2 = runFigure(harness.Figure2(), configLabels(), *protocol, *network, *placement, text, harness.RenderFigure)
-	}
-	if *figure == 3 || *all {
+		cells, err := harness.RunFigure(f.es, f.labels, *protocol, *network, *placement)
+		check(err)
 		if text {
-			fmt.Println("=== Figure 3: false-sharing signatures (4 KB vs 16 KB) ===")
+			fmt.Printf("=== %s ===\n", f.title)
 		}
-		doc.Figure3 = runFigure(harness.Figure3(), []string{"4K", "16K"}, *protocol, *network, *placement, text, harness.RenderSignature)
+		for i, e := range f.es {
+			if text {
+				f.render(os.Stdout, e, cells[i])
+				continue
+			}
+			ej := harness.ExperimentJSON{App: e.App, Dataset: e.Dataset, Paper: e.Paper}
+			for _, label := range f.labels {
+				c, _ := harness.ConfigByLabel(label)
+				c.Protocol, c.Network, c.Placement = *protocol, *network, *placement
+				ej.Cells = append(ej.Cells, harness.CellReport(e, c, harness.Procs, cells[i][label]))
+			}
+			*f.doc = append(*f.doc, ej)
+		}
 	}
 	if *protocols || *all {
 		pcs, err := harness.RunProtocolComparison(harness.Table1(), harness.Procs)
@@ -276,9 +294,6 @@ func main() {
 	if *scaling {
 		// Deliberately not part of -all: the dense 1024-proc cells take
 		// tens of seconds each by design — that cost is the datum.
-		if *derivedScaling {
-			harness.SetScalingDerivation(true)
-		}
 		e, err := scalingExperiment()
 		check(err)
 		curves, err := harness.RunScaling(e, nil, nil, nil, nil)
@@ -712,37 +727,6 @@ func configLabels() []string {
 	var out []string
 	for _, c := range harness.Configs() {
 		out = append(out, c.Label)
-	}
-	return out
-}
-
-// runFigure executes each experiment under the configurations named by
-// the labels on the given coherence protocol and network model,
-// rendering (text mode) or collecting cells (JSON mode).
-func runFigure(es []harness.Experiment, labels []string, protocol, network, placement string,
-	text bool, render func(io.Writer, harness.Experiment, map[string]harness.Cell)) []harness.ExperimentJSON {
-	var out []harness.ExperimentJSON
-	for _, e := range es {
-		cells := make(map[string]harness.Cell, len(labels))
-		ej := harness.ExperimentJSON{App: e.App, Dataset: e.Dataset, Paper: e.Paper}
-		for _, label := range labels {
-			c, ok := harness.ConfigByLabel(label)
-			if !ok {
-				check(fmt.Errorf("unknown configuration label %q", label))
-			}
-			c.Protocol = protocol
-			c.Network = network
-			c.Placement = placement
-			cell, err := harness.Run(e, c, harness.Procs)
-			check(err)
-			cells[label] = cell
-			ej.Cells = append(ej.Cells, harness.CellReport(e, c, harness.Procs, cell))
-		}
-		if text {
-			render(os.Stdout, e, cells)
-		} else {
-			out = append(out, ej)
-		}
 	}
 	return out
 }

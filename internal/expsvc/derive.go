@@ -17,7 +17,6 @@ import (
 	"encoding/json"
 	"sync"
 
-	"repro/internal/apps"
 	"repro/internal/harness"
 	"repro/internal/trace"
 )
@@ -29,17 +28,13 @@ import (
 const DefaultTraceEntries = 64
 
 // Derivable reports whether the resolved spec's result may be derived
-// from (and its capture stored for) another network's execution:
-// replay-safe application (schedule-sensitive lock contenders never
-// derive), static protocol (the adaptive policy consults the network,
-// so its stream is only conditionally invariant — the harness's
-// twin-run analysis does not fit a one-spec-at-a-time service), a
-// single trial, and no instrumentation (Stats cannot be re-priced).
+// from (and its capture stored for) another network's execution: the
+// harness's eligibility rule (harness.Derivable — replay-safe app,
+// static protocol, no instrumentation) on a single trial. The adaptive
+// protocol's twin-run analysis needs a whole grid, which a
+// one-spec-at-a-time service does not have.
 func (r *Resolved) Derivable() bool {
-	return apps.ReplaySafe(r.c.App) &&
-		r.c.Protocol != "adaptive" &&
-		r.c.Trials == 1 &&
-		!r.c.Collect
+	return harness.Derivable(r.c.App, r.c.Protocol, r.c.Collect) && r.c.Trials == 1
 }
 
 // TraceKey is the content address of the spec's capture family: the

@@ -3,11 +3,12 @@ package harness
 // Replay-derived sweep cells: the network-sensitivity grid re-prices
 // one application under every interconnect model, but for replay-safe
 // applications (apps.ReplaySafe) the message stream itself is network-
-// invariant — only the pricing changes. So the harness executes ONE
-// traced engine run per (protocol, configuration) base cell on the
-// canonical network and derives every other interconnect's cell by
-// re-pricing the captured stream (trace.MemSink.Derive), falling back
-// to real execution per cell whenever a soundness check refuses.
+// invariant — only the pricing changes. So the grid executor groups a
+// batch's cells into families that differ only in network, executes ONE
+// traced engine run per family on the canonical network, and derives
+// every other interconnect's cell by re-pricing the captured stream
+// (trace.MemSink.Derive), falling back to real execution per cell
+// whenever a soundness check refuses.
 //
 // Soundness:
 //   - Static protocols (homeless, home): the stream is invariant, and
@@ -28,13 +29,9 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
-	"runtime/debug"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/apps"
-	"repro/internal/tmk"
 	"repro/internal/trace"
 )
 
@@ -61,51 +58,39 @@ func SetNetworkDerivation(on bool) (prev bool) { return netDerivation.Swap(on) }
 // replay (see SetNetworkDerivation).
 func NetworkDerivation() bool { return netDerivation.Load() }
 
-// scalingDerivation gates replay-derivation of RunScaling's network
-// axis. Off by default: the scaling sweep's headline datum is the host
-// wall clock of simulating each cell, and a derived cell's wall
-// measures the replay, not the engine — the mode-versus-mode wall
-// comparisons the scaling gate pins only mean something when every
-// point pays the engine's price.
-var scalingDerivation atomic.Bool
+// Derivable reports whether a cell's result may be priced by replaying
+// a capture of the same cell on another network. It is the one
+// eligibility rule the grid planner and the experiment service share:
+// a replay-safe application (apps.ReplaySafe), a static protocol, and
+// no instrumentation (Stats cannot be re-priced). The planner also
+// derives an adaptive cell when its homeless twin is Derivable, under
+// the gate checks below.
+func Derivable(app, protocol string, collect bool) bool {
+	return apps.ReplaySafe(app) && protocol != "adaptive" && !collect
+}
 
-// SetScalingDerivation toggles replay-derivation of the scaling
-// sweep's network axis and returns the previous setting.
-func SetScalingDerivation(on bool) (prev bool) { return scalingDerivation.Swap(on) }
-
-// ScalingDerivation reports whether RunScaling derives network-axis
-// cells by replay (see SetScalingDerivation).
-func ScalingDerivation() bool { return scalingDerivation.Load() }
-
-// runCellSink runs one cell with compact trace capture attached and
-// collection off, returning the cell and its capture. The capture is
-// the derivation base for the cell's siblings on other networks.
-func runCellSink(e Experiment, c Config, procs int) (Cell, *trace.MemSink, error) {
-	ms := trace.NewMemSink()
-	w := e.Make(procs)
-	res, err := apps.Run(w, tmk.Config{
-		Procs:        procs,
-		UnitPages:    c.Unit,
-		Dynamic:      c.Dynamic,
-		Protocol:     c.Protocol,
-		Network:      c.Network,
-		Placement:    c.Placement,
-		Scale:        c.Scale,
-		Barrier:      c.Barrier,
-		BarrierRadix: c.BarrierRadix,
-		Sink:         ms,
-	})
-	if err != nil {
-		return Cell{}, nil, fmt.Errorf("%s %s [%s]: %w", e.App, e.Dataset, c.Label, err)
+// twinProtocol is the protocol whose capture a cell derives from: its
+// own, except that an adaptive cell derives from its homeless twin.
+func twinProtocol(protocol string) string {
+	if protocol == "adaptive" {
+		return "homeless"
 	}
-	return Cell{
-		Time: res.Time, Queue: res.QueueDelay,
-		Msgs: res.Messages, Bytes: res.Bytes,
-		SwitchedUnits: res.SwitchedUnits,
-		Rehomes:       res.Rehomes,
-		RehomeBytes:   res.RehomeBytes,
-		HandoffBytes:  res.HandoffBytes,
-	}, ms, nil
+	return protocol
+}
+
+// familyKey identifies a derivation family: the cells of one batch
+// that differ only in network, together with the adaptive cells whose
+// homeless twin they are. One task derives a whole family.
+type familyKey struct {
+	app, dataset string
+	procs        int
+	c            Config
+}
+
+func familyOf(g gridCell) familyKey {
+	c := g.c
+	c.Label, c.Network, c.Protocol = "", "", twinProtocol(c.Protocol)
+	return familyKey{g.e.App, g.e.Dataset, g.procs, c}
 }
 
 // derivedFrom assembles a derived cell: re-priced time and totals from
@@ -208,153 +193,58 @@ func adaptiveContended(cp *capture, network string) (Cell, bool) {
 	return derivedFrom(cp.cell, d), true
 }
 
-// deriveScalingGroup produces one scaling-sweep (protocol, mode,
-// procs) row across the network axis from a single traced engine run:
-// the base cell executes on the canonical network and every requested
-// network is derived from its capture, with per-network fallback to a
-// real run. The returned walls record the host cost actually paid per
-// point — the traced engine run's wall on the base network's point
-// (or, when the base network was not requested, folded into the first
-// point), the replay's wall on derived points.
-func deriveScalingGroup(e Experiment, c Config, networks []string, procs int) ([]Cell, []time.Duration, error) {
-	// Same settled-runtime discipline as the real scaling cells: the
-	// sweep's datum is wall clock, so don't bill earlier cells' garbage.
-	runtime.GC()
-	debug.FreeOSMemory()
-
-	b := c
-	b.Network = deriveBaseNetwork
-	start := time.Now()
-	baseCell, ms, err := runCellSink(e, b, procs)
-	if err != nil {
-		return nil, nil, err
+// deriveFamily derives one family — cells[m] for each m in members —
+// into out[m]. Static members derive from one traced base run on the
+// canonical network; adaptive members derive from that same capture
+// (their homeless twin's) when quiet, else from one real adaptive
+// capture on the contended base. Any member a rule refuses runs for
+// real.
+func deriveFamily(cells []gridCell, members []int, out []Cell) error {
+	var ideal, bus *capture
+	base := func(cp **capture, g gridCell, protocol, network string) error {
+		if *cp != nil {
+			return nil
+		}
+		c := g.c
+		c.Protocol, c.Network = protocol, network
+		ms := trace.NewMemSink()
+		cell, err := runCell(g.e, c, g.procs, false, ms)
+		if err != nil {
+			return fmt.Errorf("network %s (derivation base): %w", network, err)
+		}
+		*cp = newCapture(ms, cell)
+		return nil
 	}
-	baseWall := time.Since(start)
-	cp := newCapture(ms, baseCell)
-
-	cells := make([]Cell, len(networks))
-	walls := make([]time.Duration, len(networks))
-	baseCharged := false
-	for ni, network := range networks {
-		start := time.Now()
-		cell, ok := deriveStatic(cp, network)
+	for _, m := range members {
+		g := cells[m]
+		var cell Cell
+		ok := false
+		switch {
+		case g.c.Protocol != "adaptive":
+			if err := base(&ideal, g, g.c.Protocol, deriveBaseNetwork); err != nil {
+				return err
+			}
+			cell, ok = deriveStatic(ideal, g.c.Network)
+		case g.c.Barrier != "tree":
+			// The gate verdicts come from central-barrier episodes
+			// only, so tree-fabric adaptive cells run for real.
+			if err := base(&ideal, g, "homeless", deriveBaseNetwork); err != nil {
+				return err
+			}
+			if cell, ok = adaptiveQuiet(ideal, g.c.Network); !ok {
+				if err := base(&bus, g, "adaptive", deriveContendedBase); err != nil {
+					return err
+				}
+				cell, ok = adaptiveContended(bus, g.c.Network)
+			}
+		}
 		if !ok {
-			rc := c
-			rc.Network = network
-			if cell, err = runCell(e, rc, procs, false); err != nil {
-				return nil, nil, fmt.Errorf("scaling network %s: %w", network, err)
+			var err error
+			if cell, err = runCell(g.e, g.c, g.procs, false, nil); err != nil {
+				return g.wrap(err)
 			}
 		}
-		cells[ni], walls[ni] = cell, time.Since(start)
-		if network == deriveBaseNetwork {
-			walls[ni] += baseWall
-			baseCharged = true
-		}
+		out[m] = cell
 	}
-	if !baseCharged && len(walls) > 0 {
-		walls[0] += baseWall
-	}
-	return cells, walls, nil
-}
-
-// deriveNetworkCells computes one experiment's full networks ×
-// configs grid — the body of a replay-safe app's single sweep task —
-// returning cells in the same (network-major) order the per-cell path
-// produces. Base runs execute the engine; every other cell is derived,
-// with per-cell fallback to real execution.
-func deriveNetworkCells(e Experiment, procs int, networks []string, configs []Config) ([]Cell, error) {
-	m := len(configs)
-	out := make([]Cell, len(networks)*m)
-	real := func(c Config, network string) (Cell, error) {
-		c.Network = network
-		cell, err := runCell(e, c, procs, false)
-		if err != nil {
-			return Cell{}, fmt.Errorf("network %s: %w", network, err)
-		}
-		return cell, nil
-	}
-
-	// Static columns: one traced base on the canonical network each.
-	caps := make([]*capture, m)
-	for ci, c := range configs {
-		if c.Protocol == "adaptive" {
-			continue
-		}
-		b := c
-		b.Network = deriveBaseNetwork
-		cell, ms, err := runCellSink(e, b, procs)
-		if err != nil {
-			return nil, err
-		}
-		caps[ci] = newCapture(ms, cell)
-		for ni, network := range networks {
-			cell, ok := deriveStatic(caps[ci], network)
-			if !ok {
-				if cell, err = real(c, network); err != nil {
-					return nil, err
-				}
-			}
-			out[ni*m+ci] = cell
-		}
-	}
-
-	// Adaptive columns: quiet targets from the homeless twin's capture
-	// (sharing the twin column's memoized derivations when the grid has
-	// one), contended targets from one real adaptive run on the
-	// contended base. The gate verdicts come from central-barrier
-	// episodes only, so tree-fabric adaptive columns run for real.
-	for ci, c := range configs {
-		if c.Protocol != "adaptive" {
-			continue
-		}
-		var twin *capture
-		if c.Barrier != "tree" {
-			for tj, t := range configs {
-				if t.Protocol == "homeless" && caps[tj] != nil &&
-					t.Unit == c.Unit && t.Dynamic == c.Dynamic &&
-					t.Placement == c.Placement && t.Scale == c.Scale &&
-					t.Barrier == c.Barrier && t.BarrierRadix == c.BarrierRadix {
-					twin = caps[tj]
-					break
-				}
-			}
-			if twin == nil {
-				b := c
-				b.Protocol, b.Network = "homeless", deriveBaseNetwork
-				cell, ms, err := runCellSink(e, b, procs)
-				if err != nil {
-					return nil, err
-				}
-				twin = newCapture(ms, cell)
-			}
-		}
-		var bus *capture
-		for ni, network := range networks {
-			var cell Cell
-			ok := false
-			if twin != nil {
-				cell, ok = adaptiveQuiet(twin, network)
-			}
-			if !ok && twin != nil {
-				if bus == nil {
-					b := c
-					b.Network = deriveContendedBase
-					bc, ms, err := runCellSink(e, b, procs)
-					if err != nil {
-						return nil, err
-					}
-					bus = newCapture(ms, bc)
-				}
-				cell, ok = adaptiveContended(bus, network)
-			}
-			if !ok {
-				var err error
-				if cell, err = real(c, network); err != nil {
-					return nil, err
-				}
-			}
-			out[ni*m+ci] = cell
-		}
-	}
-	return out, nil
+	return nil
 }

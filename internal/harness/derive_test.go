@@ -102,57 +102,3 @@ func TestDerivedNetworkGridMatchesReal(t *testing.T) {
 		}
 	}
 }
-
-// TestDerivedScalingMatchesReal pins the scaling sweep's opt-in
-// network-axis derivation: one traced run per (protocol, mode, size)
-// row, with the derived points' message and byte totals bit-identical
-// to engine runs of the same cells.
-func TestDerivedScalingMatchesReal(t *testing.T) {
-	if ScalingDerivation() {
-		t.Fatal("scaling derivation must default off")
-	}
-	e := exp("Jacobi", "small")
-	protocols := []string{"homeless", "home"}
-	networks := []string{"ideal", "bus"}
-	sizes := []int{8}
-	modes := ScalingModes()[:1] // dense/central
-
-	prev := SetScalingDerivation(true)
-	derived, err := RunScaling(e, protocols, networks, sizes, modes)
-	SetScalingDerivation(prev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	real, err := RunScaling(e, protocols, networks, sizes, modes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(derived) != len(real) {
-		t.Fatalf("curve count %d != %d", len(derived), len(real))
-	}
-	nDerived := 0
-	for i := range derived {
-		for j, dp := range derived[i].Points {
-			rp := real[i].Points[j]
-			name := derived[i].Protocol + "/" + derived[i].Network
-			if rp.Cell.Derived {
-				t.Fatalf("%s: real scaling run reports a derived cell", name)
-			}
-			if dp.Cell.Derived {
-				nDerived++
-			}
-			if dp.Cell.Msgs != rp.Cell.Msgs || dp.Cell.Bytes != rp.Cell.Bytes {
-				t.Errorf("%s: derived msgs/bytes %d/%d != real %d/%d",
-					name, dp.Cell.Msgs, dp.Cell.Bytes, rp.Cell.Msgs, rp.Cell.Bytes)
-			}
-			// Same contended-model wobble bound as the grid matrix above.
-			withinFrac(t, name+" time", dp.Cell.Time, rp.Cell.Time, 0.10)
-			if dp.Wall <= 0 {
-				t.Errorf("%s: derived point carries no wall clock", name)
-			}
-		}
-	}
-	if nDerived == 0 {
-		t.Error("derived scaling sweep produced no derived cells")
-	}
-}

@@ -12,11 +12,8 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"runtime"
-	"runtime/debug"
 	"sort"
 	"strings"
 	"time"
@@ -26,7 +23,6 @@ import (
 	"repro/internal/instrument"
 	"repro/internal/netmodel"
 	"repro/internal/sim"
-	"repro/internal/sweep"
 	"repro/internal/tmk"
 )
 
@@ -124,86 +120,65 @@ type Cell struct {
 
 // Run executes one experiment under one configuration with verification.
 func Run(e Experiment, c Config, procs int) (Cell, error) {
-	return runCell(e, c, procs, true)
-}
-
-// runCell is Run with the §5.3 instrumentation switchable: the
-// network- and placement-sensitivity sweeps render and serialize only
-// timing and protocol accounting (no Stats), so they run with
-// collection off — the engine then skips the word-usefulness collector
-// and keeps only O(1) network totals, identical output for a fraction
-// of the work. Anything that reads Cell.Stats must pass collect=true.
-func runCell(e Experiment, c Config, procs int, collect bool) (Cell, error) {
-	w := e.Make(procs)
-	res, err := apps.Run(w, tmk.Config{
-		Procs:        procs,
-		UnitPages:    c.Unit,
-		Dynamic:      c.Dynamic,
-		Protocol:     c.Protocol,
-		Network:      c.Network,
-		Placement:    c.Placement,
-		Scale:        c.Scale,
-		Barrier:      c.Barrier,
-		BarrierRadix: c.BarrierRadix,
-		Collect:      collect,
-	})
+	cells, _, err := execute([]gridCell{{e: e, c: c, procs: procs, collect: true}}, execReal)
 	if err != nil {
-		return Cell{}, fmt.Errorf("%s %s [%s]: %w", e.App, e.Dataset, c.Label, err)
+		return Cell{}, err
 	}
-	return Cell{
-		Time: res.Time, Queue: res.QueueDelay,
-		Msgs: res.Messages, Bytes: res.Bytes,
-		SwitchedUnits: res.SwitchedUnits,
-		Rehomes:       res.Rehomes,
-		RehomeBytes:   res.RehomeBytes,
-		HandoffBytes:  res.HandoffBytes,
-		Stats:         res.Stats,
-	}, nil
+	return cells[0], nil
 }
 
-// --- sweep scheduling --------------------------------------------------------
-
-// sweepPool is the shared work-stealing scheduler the comparison
-// grids run on: one pool of GOMAXPROCS workers for the process, so
-// concurrent comparisons share the machine's run budget instead of
-// multiplying it.
-var sweepPool = sweep.New(0)
-
-// cellKey computes the dedup key of one cell in a sweep batch: two
-// grid entries with the same key run the engine once and share the
-// result. The default key is the raw configuration tuple; the
-// experiment service upgrades it to its canonical spec hash (see
-// RegisterCellKey), which also collapses aliased names — an empty
-// network and "ideal", an empty placement and the registered default.
-var cellKey = func(app, dataset string, c Config, procs int, collect bool) string {
-	return fmt.Sprintf("%s|%s|p%d|u%d|dyn%t|%s|%s|%s|%s|%s|r%d|col%t",
-		app, dataset, procs, c.Unit, c.Dynamic, c.Protocol, c.Network, c.Placement,
-		c.Scale, c.Barrier, c.BarrierRadix, collect)
-}
-
-// RegisterCellKey replaces the sweep dedup key function, typically
-// with the experiment service's canonical spec hash (expsvc installs
-// it from init, so any binary linking the service gets content-
-// addressed keys). The function must map equal cells to equal keys;
-// returning "" marks a cell unshareable (it always runs).
-func RegisterCellKey(fn func(app, dataset string, c Config, procs int, collect bool) string) {
-	if fn != nil {
-		cellKey = fn
-	}
-}
-
-// cellTask wraps one (experiment, config) cell as a sweep task.
-func cellTask(e Experiment, c Config, procs int, collect bool, wrap func(error) error) sweep.Task {
-	return sweep.Task{
-		Key: cellKey(e.App, e.Dataset, c, procs, collect),
-		Do: func(context.Context) (any, error) {
-			cell, err := runCell(e, c, procs, collect)
-			if err != nil {
-				return nil, wrap(err)
+// RunFigure runs each experiment under the paper configurations named
+// by labels (see ConfigByLabel) on the given coherence protocol, network
+// model, and home placement (empty = defaults), and returns one
+// label-keyed cell map per experiment — the input RenderFigure and
+// RenderSignature draw.
+func RunFigure(es []Experiment, labels []string, protocol, network, placement string) ([]map[string]Cell, error) {
+	var cells []gridCell
+	for _, e := range es {
+		for _, label := range labels {
+			c, ok := ConfigByLabel(label)
+			if !ok {
+				return nil, fmt.Errorf("unknown configuration label %q", label)
 			}
-			return cell, nil
-		},
+			c.Protocol, c.Network, c.Placement = protocol, network, placement
+			cells = append(cells, gridCell{e: e, c: c, procs: Procs, collect: true})
+		}
 	}
+	res, _, err := execute(cells, execReal)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]map[string]Cell, len(es))
+	for i := range es {
+		out[i] = make(map[string]Cell, len(labels))
+		for j, label := range labels {
+			out[i][label] = res[i*len(labels)+j]
+		}
+	}
+	return out, nil
+}
+
+// checkNames returns names, or defaults when names is empty, after
+// checking every name against the registry of its kind ("protocol",
+// "placement", or "network model") — before the first (potentially
+// long) run.
+func checkNames(kind string, names, defaults []string) ([]string, error) {
+	known, all := netmodel.Known, netmodel.Names
+	switch kind {
+	case "protocol":
+		known, all = tmk.KnownProtocol, tmk.ProtocolNames
+	case "placement":
+		known, all = tmk.KnownPlacement, tmk.PlacementNames
+	}
+	if len(names) == 0 {
+		return defaults, nil
+	}
+	for _, n := range names {
+		if !known(n) {
+			return nil, fmt.Errorf("unknown %s %q (known: %s)", kind, n, strings.Join(all(), ", "))
+		}
+	}
+	return names, nil
 }
 
 // --- experiment definitions -------------------------------------------------
@@ -315,21 +290,6 @@ func RenderFigure(w io.Writer, e Experiment, cells map[string]Cell) {
 	fmt.Fprintln(w)
 }
 
-// RunAndRenderFigure runs all configurations of an experiment and
-// renders it. Returns the cells for further analysis.
-func RunAndRenderFigure(w io.Writer, e Experiment) (map[string]Cell, error) {
-	cells := make(map[string]Cell)
-	for _, c := range Configs() {
-		cell, err := Run(e, c, Procs)
-		if err != nil {
-			return nil, err
-		}
-		cells[c.Label] = cell
-	}
-	RenderFigure(w, e, cells)
-	return cells, nil
-}
-
 // Table1Row is one line of Table 1.
 type Table1Row struct {
 	App     string
@@ -344,16 +304,22 @@ type Table1Row struct {
 // homeless), network model (empty = ideal), and home placement (empty =
 // round-robin).
 func RunTable1(es []Experiment, protocol, network, placement string) ([]Table1Row, error) {
-	var rows []Table1Row
+	var cells []gridCell
 	for _, e := range es {
-		seq, err := Run(e, Config{Label: "seq", Unit: 1, Protocol: protocol, Network: network, Placement: placement}, 1)
-		if err != nil {
-			return nil, err
-		}
-		par, err := Run(e, Config{Label: "4K", Unit: 1, Protocol: protocol, Network: network, Placement: placement}, Procs)
-		if err != nil {
-			return nil, err
-		}
+		seq := Config{Label: "seq", Unit: 1, Protocol: protocol, Network: network, Placement: placement}
+		par := seq
+		par.Label = "4K"
+		cells = append(cells,
+			gridCell{e: e, c: seq, procs: 1, collect: true},
+			gridCell{e: e, c: par, procs: Procs, collect: true})
+	}
+	res, _, err := execute(cells, execReal)
+	if err != nil {
+		return nil, err
+	}
+	var rows []Table1Row
+	for i, e := range es {
+		seq, par := res[2*i], res[2*i+1]
 		rows = append(rows, Table1Row{
 			App:     e.App,
 			Dataset: e.Dataset,
@@ -451,16 +417,14 @@ type ProtocolComparison struct {
 // Cells run in parallel on the sweep pool.
 func RunProtocolComparison(es []Experiment, procs int) ([]ProtocolComparison, error) {
 	protos := tmk.ProtocolNames()
-	var tasks []sweep.Task
+	var cells []gridCell
 	for _, e := range es {
 		for _, proto := range protos {
 			c := Config{Label: "4K", Unit: 1, Protocol: proto}
-			tasks = append(tasks, cellTask(e, c, procs, true, func(err error) error {
-				return fmt.Errorf("protocol %s: %w", proto, err)
-			}))
+			cells = append(cells, gridCell{e: e, c: c, procs: procs, collect: true, axis: "protocol " + proto})
 		}
 	}
-	cells, err := sweepPool.Run(context.Background(), tasks)
+	res, _, err := execute(cells, execReal)
 	if err != nil {
 		return nil, err
 	}
@@ -468,9 +432,7 @@ func RunProtocolComparison(es []Experiment, procs int) ([]ProtocolComparison, er
 	for i, e := range es {
 		pc := ProtocolComparison{App: e.App, Dataset: e.Dataset, Config: "4K"}
 		for j, proto := range protos {
-			pc.Rows = append(pc.Rows, ProtocolRow{
-				Protocol: proto, Cell: cells[i*len(protos)+j].(Cell),
-			})
+			pc.Rows = append(pc.Rows, ProtocolRow{Protocol: proto, Cell: res[i*len(protos)+j]})
 		}
 		out = append(out, pc)
 	}
@@ -525,74 +487,37 @@ func networkCellConfigs() []Config {
 // applications run every cell for real. SetNetworkDerivation(false)
 // forces every cell through the engine.
 func RunNetworkComparison(es []Experiment, procs int, networks []string) ([]NetworkComparison, error) {
-	if len(networks) == 0 {
-		networks = netmodel.Names()
+	networks, err := checkNames("network model", networks, netmodel.Names())
+	if err != nil {
+		return nil, err
 	}
-	// Validate every name before the first (potentially long) run.
-	for _, network := range networks {
-		if !netmodel.Known(network) {
-			return nil, fmt.Errorf("unknown network model %q (known: %s)",
-				network, strings.Join(netmodel.Names(), ", "))
-		}
-	}
-	// Flatten the grid onto the sweep pool — one derivation task per
-	// replay-safe experiment (it yields the whole networks × configs
-	// block), per-cell tasks for the rest — then reassemble rows in
-	// grid order.
 	configs := networkCellConfigs()
-	derive := make([]bool, len(es))
-	var tasks []sweep.Task
-	for ei, e := range es {
-		if netDerivation.Load() && apps.ReplaySafe(e.App) {
-			derive[ei] = true
-			e := e
-			tasks = append(tasks, sweep.Task{
-				Key: fmt.Sprintf("derived|%s|%s|p%d|%s",
-					e.App, e.Dataset, procs, strings.Join(networks, ",")),
-				Do: func(context.Context) (any, error) {
-					return deriveNetworkCells(e, procs, networks, configs)
-				},
-			})
-			continue
-		}
+	var cells []gridCell
+	for _, e := range es {
 		for _, network := range networks {
 			for _, c := range configs {
 				c.Network = network
-				tasks = append(tasks, cellTask(e, c, procs, false, func(err error) error {
-					return fmt.Errorf("network %s: %w", network, err)
-				}))
+				cells = append(cells, gridCell{e: e, c: c, procs: procs, axis: "network " + network})
 			}
 		}
 	}
-	results, err := sweepPool.Run(context.Background(), tasks)
+	mode := execReal
+	if netDerivation.Load() {
+		mode = execDerive
+	}
+	res, _, err := execute(cells, mode)
 	if err != nil {
 		return nil, err
 	}
 	var out []NetworkComparison
 	next := 0
-	for ei, e := range es {
-		var cells []Cell
-		if derive[ei] {
-			cells = results[next].([]Cell)
-			next++
-		} else {
-			cells = make([]Cell, 0, len(networks)*len(configs))
-			for range networks {
-				for range configs {
-					cells = append(cells, results[next].(Cell))
-					next++
-				}
-			}
-		}
+	for _, e := range es {
 		nc := NetworkComparison{App: e.App, Dataset: e.Dataset}
-		idx := 0
 		for _, network := range networks {
 			row := NetworkRow{Network: network}
 			for _, c := range configs {
-				row.Cells = append(row.Cells, NetworkCell{
-					Protocol: c.Protocol, Config: c.Label, Cell: cells[idx],
-				})
-				idx++
+				row.Cells = append(row.Cells, NetworkCell{Protocol: c.Protocol, Config: c.Label, Cell: res[next]})
+				next++
 			}
 			nc.Rows = append(nc.Rows, row)
 		}
@@ -687,49 +612,30 @@ func PlacementNetworks() []string { return []string{"ideal", "bus"} }
 // All at the paper's base configuration (4 KB units); every cell is
 // verified against the sequential reference.
 func RunPlacementComparison(es []Experiment, procs int, placements, networks []string) ([]PlacementComparison, error) {
-	if len(placements) == 0 {
-		placements = tmk.PlacementNames()
+	placements, err := checkNames("placement", placements, tmk.PlacementNames())
+	if err != nil {
+		return nil, err
 	}
-	for _, placement := range placements {
-		if !tmk.KnownPlacement(placement) {
-			return nil, fmt.Errorf("unknown placement %q (known: %s)",
-				placement, strings.Join(tmk.PlacementNames(), ", "))
-		}
+	if networks, err = checkNames("network model", networks, PlacementNetworks()); err != nil {
+		return nil, err
 	}
-	if len(networks) == 0 {
-		networks = PlacementNetworks()
-	}
-	for _, network := range networks {
-		if !netmodel.Known(network) {
-			return nil, fmt.Errorf("unknown network model %q (known: %s)",
-				network, strings.Join(netmodel.Names(), ", "))
-		}
-	}
-	// Flatten the grid — per network, one homeless baseline then the
-	// placements × protocols cells — onto the sweep pool, recording
-	// each task's PlacementCell identity for reassembly.
-	type slot struct{ placement, protocol, network string }
+	// Per network, one homeless baseline then the placements × protocols
+	// cells.
 	var (
-		tasks []sweep.Task
-		slots []slot
+		cells []gridCell
+		slots []PlacementCell
 	)
 	for _, e := range es {
 		for _, network := range networks {
 			c := Config{Label: "4K", Unit: 1, Protocol: "homeless", Network: network}
-			tasks = append(tasks, cellTask(e, c, procs, false, func(err error) error {
-				return fmt.Errorf("network %s: %w", network, err)
-			}))
-			slots = append(slots, slot{tmk.DefaultPlacement, "homeless", network})
+			cells = append(cells, gridCell{e: e, c: c, procs: procs, axis: "network " + network})
+			slots = append(slots, PlacementCell{Placement: tmk.DefaultPlacement, Protocol: "homeless", Network: network})
 			for _, placement := range placements {
 				for _, protocol := range placementProtocols {
-					c := Config{
-						Label: "4K", Unit: 1,
-						Protocol: protocol, Network: network, Placement: placement,
-					}
-					tasks = append(tasks, cellTask(e, c, procs, false, func(err error) error {
-						return fmt.Errorf("placement %s/%s: %w", placement, protocol, err)
-					}))
-					slots = append(slots, slot{placement, protocol, network})
+					c := Config{Label: "4K", Unit: 1, Protocol: protocol, Network: network, Placement: placement}
+					cells = append(cells, gridCell{e: e, c: c, procs: procs,
+						axis: "placement " + placement + "/" + protocol})
+					slots = append(slots, PlacementCell{Placement: placement, Protocol: protocol, Network: network})
 				}
 			}
 		}
@@ -737,7 +643,7 @@ func RunPlacementComparison(es []Experiment, procs int, placements, networks []s
 	if len(es) == 0 {
 		return nil, nil
 	}
-	cells, err := sweepPool.Run(context.Background(), tasks)
+	res, _, err := execute(cells, execReal)
 	if err != nil {
 		return nil, err
 	}
@@ -746,10 +652,8 @@ func RunPlacementComparison(es []Experiment, procs int, placements, networks []s
 	for i, e := range es {
 		pc := PlacementComparison{App: e.App, Dataset: e.Dataset}
 		for j := i * perExp; j < (i+1)*perExp; j++ {
-			pc.Cells = append(pc.Cells, PlacementCell{
-				Placement: slots[j].placement, Protocol: slots[j].protocol,
-				Network: slots[j].network, Cell: cells[j].(Cell),
-			})
+			slots[j].Cell = res[j]
+			pc.Cells = append(pc.Cells, slots[j])
 		}
 		out = append(out, pc)
 	}
@@ -922,23 +826,12 @@ type ScalingCurve struct {
 // comparative, not absolute — the committed sweep records GOMAXPROCS
 // alongside).
 func RunScaling(e Experiment, protocols, networks []string, sizes []int, modes []ScalingMode) ([]ScalingCurve, error) {
-	if len(protocols) == 0 {
-		protocols = ScalingProtocols()
+	protocols, err := checkNames("protocol", protocols, ScalingProtocols())
+	if err != nil {
+		return nil, err
 	}
-	for _, p := range protocols {
-		if !tmk.KnownProtocol(p) {
-			return nil, fmt.Errorf("unknown protocol %q (known: %s)",
-				p, strings.Join(tmk.ProtocolNames(), ", "))
-		}
-	}
-	if len(networks) == 0 {
-		networks = ScalingNetworks()
-	}
-	for _, n := range networks {
-		if !netmodel.Known(n) {
-			return nil, fmt.Errorf("unknown network model %q (known: %s)",
-				n, strings.Join(netmodel.Names(), ", "))
-		}
+	if networks, err = checkNames("network model", networks, ScalingNetworks()); err != nil {
+		return nil, err
 	}
 	if len(sizes) == 0 {
 		sizes = ScalingSizes()
@@ -947,85 +840,29 @@ func RunScaling(e Experiment, protocols, networks []string, sizes []int, modes [
 		modes = ScalingModes()
 	}
 
-	type timed struct {
-		cell Cell
-		wall time.Duration
+	// Cells in (protocol, mode, size, network) order, so one engine
+	// configuration's networks sit together on the pool; curves are
+	// (protocol, network, mode) with sizes ascending.
+	idx := func(pi, mi, si, ni int) int {
+		return ((pi*len(modes)+mi)*len(sizes)+si)*len(networks) + ni
 	}
-	// taskRef locates one (proto, network, mode, size) point in the
-	// task results: derived rows bundle a whole network axis into one
-	// task (inner selects the network), real cells stand alone.
-	type taskRef struct{ task, inner int }
-	refs := make([]taskRef, len(protocols)*len(networks)*len(modes)*len(sizes))
-	idx := func(pi, ni, mi, si int) int {
-		return ((pi*len(networks)+ni)*len(modes)+mi)*len(sizes) + si
-	}
-	deriving := ScalingDerivation() && apps.ReplaySafe(e.App)
-	var tasks []sweep.Task
-	for pi, proto := range protocols {
-		for mi, mode := range modes {
-			for si, procs := range sizes {
-				c := Config{
-					Label: "4K", Unit: 1,
-					Protocol: proto,
-					Scale:    mode.Scale, Barrier: mode.Barrier, BarrierRadix: mode.Radix,
-				}
-				if deriving && proto != "adaptive" {
-					// One traced engine run covers this row's whole
-					// network axis; replay prices the rest.
-					proto, mode, procs, c := proto, mode, procs, c
-					ti := len(tasks)
-					tasks = append(tasks, sweep.Task{
-						Key: fmt.Sprintf("scaling-derived|%s|%s|p%d|%s|%s|%s",
-							e.App, e.Dataset, procs, proto, mode.Name, strings.Join(networks, ",")),
-						Do: func(context.Context) (any, error) {
-							cells, walls, err := deriveScalingGroup(e, c, networks, procs)
-							if err != nil {
-								return nil, fmt.Errorf("scaling %s/%s n=%d: %w",
-									proto, mode.Name, procs, err)
-							}
-							row := make([]timed, len(cells))
-							for i := range cells {
-								row[i] = timed{cell: cells[i], wall: walls[i]}
-							}
-							return row, nil
-						},
-					})
-					for ni := range networks {
-						refs[idx(pi, ni, mi, si)] = taskRef{task: ti, inner: ni}
+	var cells []gridCell
+	for _, proto := range protocols {
+		for _, mode := range modes {
+			for _, procs := range sizes {
+				for _, network := range networks {
+					c := Config{
+						Label: "4K", Unit: 1,
+						Protocol: proto, Network: network,
+						Scale: mode.Scale, Barrier: mode.Barrier, BarrierRadix: mode.Radix,
 					}
-					continue
-				}
-				for ni, network := range networks {
-					c := c
-					c.Network = network
-					proto, network, mode, procs := proto, network, mode, procs
-					ti := len(tasks)
-					tasks = append(tasks, sweep.Task{
-						Key: cellKey(e.App, e.Dataset, c, procs, false),
-						Do: func(context.Context) (any, error) {
-							// The sweep's datum is the per-cell wall clock, and
-							// cells run back-to-back in one process: without a
-							// collection point between them, heap and scheduler
-							// state accumulated by earlier (large, dense) cells
-							// inflates later cells' timings by integer factors.
-							// Start every timed cell from a settled runtime.
-							runtime.GC()
-							debug.FreeOSMemory()
-							start := time.Now()
-							cell, err := runCell(e, c, procs, false)
-							if err != nil {
-								return nil, fmt.Errorf("scaling %s/%s/%s n=%d: %w",
-									proto, network, mode.Name, procs, err)
-							}
-							return timed{cell: cell, wall: time.Since(start)}, nil
-						},
-					})
-					refs[idx(pi, ni, mi, si)] = taskRef{task: ti, inner: -1}
+					cells = append(cells, gridCell{e: e, c: c, procs: procs,
+						axis: fmt.Sprintf("scaling %s/%s/%s n=%d", proto, network, mode.Name, procs)})
 				}
 			}
 		}
 	}
-	results, err := sweepPool.Run(context.Background(), tasks)
+	res, walls, err := execute(cells, execTimed)
 	if err != nil {
 		return nil, err
 	}
@@ -1038,16 +875,8 @@ func RunScaling(e Experiment, protocols, networks []string, sizes []int, modes [
 					Protocol: proto, Network: network, Mode: mode,
 				}
 				for si, procs := range sizes {
-					ref := refs[idx(pi, ni, mi, si)]
-					var r timed
-					if ref.inner >= 0 {
-						r = results[ref.task].([]timed)[ref.inner]
-					} else {
-						r = results[ref.task].(timed)
-					}
-					curve.Points = append(curve.Points, ScalingPoint{
-						Procs: procs, Wall: r.wall, Cell: r.cell,
-					})
+					i := idx(pi, mi, si, ni)
+					curve.Points = append(curve.Points, ScalingPoint{Procs: procs, Wall: walls[i], Cell: res[i]})
 				}
 				out = append(out, curve)
 			}

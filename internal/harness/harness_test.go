@@ -65,10 +65,12 @@ func TestExperimentInventory(t *testing.T) {
 func TestRunAndRenderFigureSmoke(t *testing.T) {
 	var buf bytes.Buffer
 	e := Figure2()[0] // Jacobi row=1pg: fast
-	cells, err := RunAndRenderFigure(&buf, e)
+	figs, err := RunFigure([]Experiment{e}, []string{"4K", "8K", "16K", "Dyn"}, "", "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
+	cells := figs[0]
+	RenderFigure(&buf, e, cells)
 	out := buf.String()
 	for _, want := range []string{"Jacobi", "time", "messages", "piggybacked", "4K", "Dyn"} {
 		if !strings.Contains(out, want) {

@@ -199,49 +199,3 @@ func TestRingWindow(t *testing.T) {
 		t.Fatalf("window bytes = %v, want %v", got, want)
 	}
 }
-
-// TestExportSnapshotReplays: a full (uncapped) log of payload legs
-// exported after the fact replays to the network's exact totals.
-func TestExportSnapshotReplays(t *testing.T) {
-	n := simnet.New(sim.DefaultCostModel())
-	n.SendLeg(simnet.DiffRequest, 0, 1, 64, 0)
-	n.SendLeg(simnet.DiffReply, 1, 0, 4096, 50)
-	n.SendLeg(simnet.BarrierArrive, 2, 0, 16, 100)
-
-	var buf bytes.Buffer
-	w := trace.NewWriter(&buf)
-	if err := trace.ExportSnapshot(w, trace.RunMeta{Network: n.Model().Name(), Procs: 3}, n); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	runs, err := trace.Replay(bytes.NewReader(buf.Bytes()), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != 1 {
-		t.Fatalf("runs = %d, want 1", len(runs))
-	}
-	if !runs[0].Matches() {
-		t.Fatalf("export replay diverged: recorded %+v, replayed %+v",
-			runs[0].Recorded, runs[0].Replayed)
-	}
-}
-
-// TestExportSnapshotRejectsDroppedRecords pins the silent-partial-trace
-// guard: a capped log that has evicted records must refuse to export.
-func TestExportSnapshotRejectsDroppedRecords(t *testing.T) {
-	n := simnet.New(sim.DefaultCostModel(), simnet.WithRecordCap(1))
-	n.SendLeg(simnet.DiffRequest, 0, 1, 64, 0)
-	n.SendLeg(simnet.DiffReply, 1, 0, 4096, 50) // evicts the first
-
-	w := trace.NewWriter(io.Discard)
-	err := trace.ExportSnapshot(w, trace.RunMeta{Network: "ideal"}, n)
-	if err == nil {
-		t.Fatal("ExportSnapshot succeeded on a log with dropped records")
-	}
-	if !strings.Contains(err.Error(), "dropped") {
-		t.Fatalf("error should name the dropped records, got: %v", err)
-	}
-}
